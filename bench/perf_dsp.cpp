@@ -148,18 +148,37 @@ void BM_FirFiltFilt(benchmark::State& state) {
 }
 BENCHMARK(BM_FirFiltFilt)->Arg(600)->Arg(2400);
 
-void BM_AcfFundamental(benchmark::State& state) {
-  // 120 s of 20 Hz track with a 10 bpm oscillation + noise.
-  std::vector<double> x = noise_signal(2400);
+std::vector<double> breathing_track(std::size_t n) {
+  // 20 Hz track with a 10 bpm oscillation + noise.
+  std::vector<double> x = noise_signal(n);
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = 0.01 * std::sin(2.0 * 3.14159 * 0.1667 * static_cast<double>(i) / 20.0) +
            0.003 * x[i];
+  return x;
+}
+
+void BM_AcfFundamental(benchmark::State& state) {
+  // 120 s of track through the one-shot overload (throwaway workspace).
+  const std::vector<double> x = breathing_track(2400);
   for (auto _ : state) {
     const double f = signal::autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
     benchmark::DoNotOptimize(f);
   }
 }
 BENCHMARK(BM_AcfFundamental);
+
+void BM_AcfFundamentalPlanned(benchmark::State& state) {
+  // The band search as the extractor runs it: a warm workspace. 601 is
+  // the Table-I track (30 s at 20 Hz, M = 1024).
+  const auto x = breathing_track(static_cast<std::size_t>(state.range(0)));
+  signal::FftWorkspace ws;
+  for (auto _ : state) {
+    const double f =
+        signal::autocorrelation_fundamental(x, 20.0, 0.075, 0.67, ws);
+    benchmark::DoNotOptimize(f);
+  }
+}
+BENCHMARK(BM_AcfFundamentalPlanned)->Arg(601)->Arg(2400);
 
 void BM_Goertzel(benchmark::State& state) {
   const auto x = noise_signal(2400);

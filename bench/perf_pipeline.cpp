@@ -193,7 +193,8 @@ void BM_AnalysisFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(results.data());
   }
   state.counters["users/s"] = benchmark::Counter(
-      static_cast<double>(users), benchmark::Counter::kIsRate);
+      static_cast<double>(users),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_AnalysisFanout)
     ->ArgNames({"users", "threads"})
@@ -234,7 +235,8 @@ void BM_AnalysisFanoutBatched(benchmark::State& state) {
   }
   signal::simd::reset_dispatch_for_testing();
   state.counters["users/s"] = benchmark::Counter(
-      static_cast<double>(users), benchmark::Counter::kIsRate);
+      static_cast<double>(users),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_AnalysisFanoutBatched)
     ->ArgNames({"users", "vector", "batch"})

@@ -90,20 +90,32 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     if (config_.detrend) signal::detrend_linear(values);
   }
 
-  // Stage 2: effective pass band — the configured [low_cut, cutoff],
-  // optionally narrowed around the located spectral peak. The coarse
-  // low-pass that feeds the peak search runs as ONE batched transform
-  // sweep; the ACF peak search stays per job.
-  if (config_.adaptive_band) {
+  // Stage 2: one forward transform per track, shared by the coarse
+  // low-pass that feeds the band search and by the main FFT filter. The
+  // job list is rebuilt in the same order for every inverse sweep, so
+  // its indices line up with the forward sweep's spectra.
+  const bool fft_filter = config_.filter == FilterKind::FftLowpass;
+  const auto stage_filter_jobs = [&](auto&& band) {
     scratch.filter_jobs.clear();
     for (std::size_t j = 0; j < count; ++j) {
       if (scratch.active[j] == 0) continue;
-      scratch.filter_jobs.push_back(signal::BandLimitJob{
-          scratch.values[j], jobs[j].sample_rate_hz, signal::kDcRejectHz,
-          config_.cutoff_hz, &scratch.coarse[j]});
+      scratch.filter_jobs.push_back(band(j));
     }
-    signal::fft_bandlimit_many(scratch.filter_jobs, ws);
+  };
+  if (config_.adaptive_band || fft_filter) {
+    stage_filter_jobs([&](std::size_t j) {
+      return signal::BandLimitJob{scratch.values[j], jobs[j].sample_rate_hz,
+                                  signal::kDcRejectHz, config_.cutoff_hz,
+                                  &scratch.coarse[j]};
+    });
+    signal::fft_bandlimit_forward_many(scratch.filter_jobs, ws);
+  }
 
+  // Stage 3: effective pass band — the configured [low_cut, cutoff],
+  // optionally narrowed around the located spectral peak, searched on
+  // the coarse low-passed track (cut from the shared spectrum).
+  if (config_.adaptive_band) {
+    signal::fft_bandlimit_inverse_many(scratch.filter_jobs, ws);
     const double floor_hz =
         std::max(config_.low_cut_hz, config_.peak_search_floor_hz);
     for (std::size_t j = 0; j < count; ++j) {
@@ -114,7 +126,7 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
       // white + random-walk noise far better than spectral peak-picking.
       const double f0 = signal::autocorrelation_fundamental(
           scratch.coarse[j], jobs[j].sample_rate_hz, floor_hz,
-          config_.cutoff_hz);
+          config_.cutoff_hz, ws);
       if (f0 > 0.0) {
         double lo = std::max(scratch.band_lo[j], config_.adaptive_lo_frac * f0);
         double hi = std::min(scratch.band_hi[j], config_.adaptive_hi_frac * f0);
@@ -128,21 +140,20 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     }
   }
 
-  // Stage 3: the main filter.
+  // Stage 4: the main filter.
   switch (config_.filter) {
     case FilterKind::FftLowpass: {
-      // One batched band-limit sweep; a zero low cut becomes the DC
-      // reject exactly as fft_lowpass_into(remove_dc=true) would.
-      scratch.filter_jobs.clear();
-      for (std::size_t j = 0; j < count; ++j) {
-        if (scratch.active[j] == 0) continue;
+      // The main band cut from the shared spectrum; a zero low cut
+      // becomes the DC reject exactly as fft_lowpass_into(remove_dc=true)
+      // would.
+      stage_filter_jobs([&](std::size_t j) {
         const double f_lo = scratch.band_lo[j] > 0.0 ? scratch.band_lo[j]
                                                      : signal::kDcRejectHz;
-        scratch.filter_jobs.push_back(signal::BandLimitJob{
-            scratch.values[j], jobs[j].sample_rate_hz, f_lo,
-            scratch.band_hi[j], &scratch.filtered[j]});
-      }
-      signal::fft_bandlimit_many(scratch.filter_jobs, ws);
+        return signal::BandLimitJob{scratch.values[j], jobs[j].sample_rate_hz,
+                                    f_lo, scratch.band_hi[j],
+                                    &scratch.filtered[j]};
+      });
+      signal::fft_bandlimit_inverse_many(scratch.filter_jobs, ws);
       break;
     }
     case FilterKind::FirLowpass: {
@@ -179,7 +190,7 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     }
   }
 
-  // Stage 4 (per job): emit the filtered samples on the track's grid.
+  // Stage 5 (per job): emit the filtered samples on the track's grid.
   for (std::size_t j = 0; j < count; ++j) {
     if (scratch.active[j] == 0) continue;
     const ExtractJob& job = jobs[j];

@@ -6,6 +6,14 @@
 // zero all bins above 0.67 Hz (40 breaths/min) -> IFFT; it also notes an
 // FIR low-pass works. Both are implemented; a band-pass variant that also
 // suppresses sub-breathing drift (< ~3 bpm) is the default low cut.
+//
+// Each track is forward-transformed once. The coarse 0.67 Hz low-pass
+// that feeds the adaptive band search and the main band filter are both
+// cut from that one spectrum (mask a copy, inverse-transform it). The
+// band search itself is a Wiener-Khinchin ACF through cached power-of-
+// two plans, zero-padded only to next_pow2(n + lag_max + 1) (1024 points
+// for the 601-sample Table-I track), with every buffer in the caller's
+// FftWorkspace, so a warm extraction allocates nothing.
 #pragma once
 
 #include <span>
@@ -98,11 +106,11 @@ class BreathExtractor {
                        double sample_rate_hz,
                        signal::FftWorkspace* workspace = nullptr) const;
 
-  /// Batched extraction: conditions every track, runs the coarse
-  /// adaptive-band low-pass and the main band filter as batched
-  /// transform sweeps (fft_bandlimit_many) through the shared plan, and
-  /// fills every job's `out`. Thread-safe for distinct workspaces and
-  /// scratches.
+  /// Batched extraction: conditions every track, runs one forward sweep
+  /// (fft_bandlimit_forward_many) through the shared plan, cuts the
+  /// coarse adaptive-band low-pass and the main band from it with two
+  /// inverse sweeps, and fills every job's `out`. Thread-safe for
+  /// distinct workspaces and scratches.
   void extract_many(std::span<const ExtractJob> jobs,
                     signal::FftWorkspace& workspace,
                     ExtractScratch& scratch) const;

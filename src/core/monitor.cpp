@@ -21,6 +21,56 @@ struct AnalyzeTraceGuard {
   }
 };
 
+/// Visits every in-window read time of `streams` in ascending order.
+/// Demux streams are appended in arrival order, so each is normally
+/// time-ordered already: their in-window runs are found by binary search
+/// and k-way merged without staging. Any stream that is not ordered
+/// (reordered input, or a NaN time) sends the whole scan to gather-and-
+/// sort through `sorted`. Both branches visit the same sequence.
+template <typename Visit>
+void for_each_window_time(
+    std::span<const std::vector<TagRead>* const> streams, double t0,
+    double t1, std::vector<std::pair<const TagRead*, const TagRead*>>& runs,
+    std::vector<double>& sorted, Visit&& visit) {
+  const auto ordered = [](const std::vector<TagRead>* s) {
+    for (std::size_t i = 1; i < s->size(); ++i)
+      if (!((*s)[i - 1].time_s <= (*s)[i].time_s)) return false;
+    return true;
+  };
+  if (!std::all_of(streams.begin(), streams.end(), ordered)) {
+    sorted.clear();
+    for (const auto* stream : streams)
+      for (const TagRead& r : *stream)
+        if (r.time_s >= t0 && r.time_s <= t1) sorted.push_back(r.time_s);
+    std::sort(sorted.begin(), sorted.end());
+    for (const double t : sorted) visit(t);
+    return;
+  }
+
+  runs.clear();
+  for (const auto* stream : streams) {
+    const TagRead* const begin = stream->data();
+    const TagRead* const end = begin + stream->size();
+    const TagRead* const lo = std::lower_bound(
+        begin, end, t0,
+        [](const TagRead& r, double t) { return r.time_s < t; });
+    const TagRead* const hi = std::upper_bound(
+        lo, end, t1,
+        [](double t, const TagRead& r) { return t < r.time_s; });
+    if (lo != hi) runs.emplace_back(lo, hi);
+  }
+  while (!runs.empty()) {
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < runs.size(); ++k)
+      if (runs[k].first->time_s < runs[best].first->time_s) best = k;
+    visit(runs[best].first->time_s);
+    if (++runs[best].first == runs[best].second) {
+      runs[best] = runs.back();
+      runs.pop_back();
+    }
+  }
+}
+
 }  // namespace
 
 BreathMonitor::BreathMonitor(MonitorConfig config)
@@ -77,22 +127,29 @@ bool BreathMonitor::analyze_prepare(const StreamDemux& demux,
   // Signal health: judged over every stream the user has, so a working
   // set that went quiet is not mistaken for a healthy signal.
   {
-    std::vector<double> times;
-    for (const auto* stream : all_streams)
-      for (const TagRead& r : *stream)
-        if (r.time_s >= t0 && r.time_s <= t1) times.push_back(r.time_s);
-    std::sort(times.begin(), times.end());
-    if (!times.empty()) {
-      out.last_read_s = times.back();
-      out.tail_gap_s = t1 - times.back();
-      const double lead_gap = times.front() - t0;
-      out.max_gap_s = std::max(lead_gap, out.tail_gap_s);
-      double gap_time = lead_gap > config_.stale_after_s ? lead_gap : 0.0;
-      for (std::size_t i = 1; i < times.size(); ++i) {
-        const double gap = times[i] - times[i - 1];
-        out.max_gap_s = std::max(out.max_gap_s, gap);
-        if (gap > config_.stale_after_s) gap_time += gap;
-      }
+    std::size_t count = 0;
+    double first = 0.0;
+    double last = 0.0;
+    double inner_max = 0.0;
+    double gap_time = 0.0;
+    for_each_window_time(
+        all_streams, t0, t1, scratch.runs, scratch.read_times,
+        [&](double t) {
+          if (count++ == 0) {
+            first = t;
+            const double lead_gap = t - t0;
+            if (lead_gap > config_.stale_after_s) gap_time = lead_gap;
+          } else {
+            const double gap = t - last;
+            inner_max = std::max(inner_max, gap);
+            if (gap > config_.stale_after_s) gap_time += gap;
+          }
+          last = t;
+        });
+    if (count > 0) {
+      out.last_read_s = last;
+      out.tail_gap_s = t1 - last;
+      out.max_gap_s = std::max(std::max(first - t0, out.tail_gap_s), inner_max);
       if (out.tail_gap_s > config_.stale_after_s)
         gap_time += out.tail_gap_s;
       out.coverage = out.window_s > 0.0

@@ -80,6 +80,11 @@ struct alignas(64) AnalysisScratch {
   std::vector<std::vector<signal::TimedSample>> deltas;
   /// Extraction jobs staged across one analyze_users batch.
   std::vector<ExtractJob> extract_jobs;
+  /// Health-scan staging: one [next, end) cursor per stream for the
+  /// k-way merge of the user's in-window read times, and the sort buffer
+  /// used only when a stream arrived out of time order.
+  std::vector<std::pair<const TagRead*, const TagRead*>> runs;
+  std::vector<double> read_times;
 };
 
 /// Everything TagBreathe derives for one user from one window.

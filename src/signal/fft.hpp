@@ -54,7 +54,9 @@ enum class FftDirection : std::uint8_t { Forward = 0, Inverse = 1 };
 /// high-water capacity). Cache-line aligned so arrays of per-worker
 /// scratches (AnalysisPool slots) never share a line across workers.
 struct alignas(64) FftScratch {
-  std::vector<cdouble> a;  // Bluestein convolution buffer (size m)
+  /// Bluestein convolution buffer (size m). Power-of-two plans never
+  /// touch it, so a caller running only those may borrow it as staging.
+  std::vector<cdouble> a;
   std::vector<cdouble> b;  // staging: real packing / widening buffer
 };
 
@@ -193,6 +195,8 @@ struct RealFftJob {
 /// One real inverse transform: `time` stages the complex inverse and
 /// `out` receives its real part (both resized to spectrum.size()).
 /// `time` may be shared between jobs of one batch (jobs run in order).
+/// `spectrum` may view all of `*time` itself: the inverse then runs in
+/// place.
 struct RealIfftJob {
   std::span<const cdouble> spectrum;
   std::vector<cdouble>* time = nullptr;

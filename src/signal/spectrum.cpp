@@ -120,39 +120,59 @@ std::vector<SpectrumBin> welch_psd(std::span<const double> x,
 double autocorrelation_fundamental(std::span<const double> x,
                                    double sample_rate_hz, double f_lo,
                                    double f_hi) {
+  FftWorkspace ws;
+  return autocorrelation_fundamental(x, sample_rate_hz, f_lo, f_hi, ws);
+}
+
+double autocorrelation_fundamental(std::span<const double> x,
+                                   double sample_rate_hz, double f_lo,
+                                   double f_hi, FftWorkspace& ws) {
   if (sample_rate_hz <= 0.0 || f_lo <= 0.0 || f_hi <= f_lo)
     throw std::invalid_argument("autocorrelation_fundamental: bad band");
   const std::size_t nx = x.size();
   if (nx < 16) return 0.0;
 
-  // Unbiased ACF via FFT (zero-padded to avoid circular wrap).
-  std::vector<cdouble> padded(next_pow2(2 * nx));
+  const double lag_lo = std::ceil(sample_rate_hz / f_hi);
+  const double lag_hi = std::floor(sample_rate_hz / f_lo);
+  const std::size_t lag_max =
+      lag_hi >= static_cast<double>(nx - 1) ? nx - 1
+                                            : static_cast<std::size_t>(lag_hi);
+  if (lag_lo + 2.0 > static_cast<double>(lag_max)) return 0.0;
+  const auto lag_min = static_cast<std::size_t>(lag_lo);
+
+  // Wiener-Khinchin ACF: zero-padding to M >= nx + lag_max keeps every
+  // admissible lag free of circular wrap. |X|^2 is real and even, so its
+  // forward real transform is M times the inverse one; the factor
+  // cancels in the r0 normalisation.
+  const std::size_t m = next_pow2(nx + lag_max + 1);
+  // The padded track, then |X|^2, then the normalised ACF are staged in
+  // ws.time viewed as doubles (the array layout std::complex guarantees),
+  // and the bins in the Bluestein buffer, which power-of-two plans never
+  // touch: a warm workspace needs no buffer of its own for the search.
+  if (2 * ws.time.size() < m) ws.time.resize(m / 2);
+  const std::span<double> acf(reinterpret_cast<double*>(ws.time.data()), m);
+  std::vector<cdouble>& bins = ws.scratch.a;
+  bins.resize(m);
   double mean = 0.0;
   for (double v : x) mean += v;
   mean /= static_cast<double>(nx);
-  for (std::size_t i = 0; i < nx; ++i)
-    padded[i] = cdouble(x[i] - mean, 0.0);
-  fft_pow2(padded);
-  for (auto& c : padded) c = cdouble(std::norm(c), 0.0);
-  fft_pow2(padded, /*inverse=*/true);
+  for (std::size_t i = 0; i < nx; ++i) acf[i] = x[i] - mean;
+  std::fill(acf.begin() + static_cast<std::ptrdiff_t>(nx), acf.end(), 0.0);
+  const auto plan = RealFftPlan::get(m);
+  plan->execute(acf, bins, ws.scratch);
+  for (std::size_t k = 0; k < m; ++k) acf[k] = std::norm(bins[k]);
+  plan->execute(acf, bins, ws.scratch);
 
-  const double r0 = padded[0].real();
+  const double r0 = bins[0].real();
   if (r0 <= 0.0) return 0.0;
 
-  const auto lag_min = static_cast<std::size_t>(
-      std::ceil(sample_rate_hz / f_hi));
-  auto lag_max = static_cast<std::size_t>(
-      std::floor(sample_rate_hz / f_lo));
-  if (lag_max >= nx) lag_max = nx - 1;
-  if (lag_min + 2 > lag_max) return 0.0;
-
-  // Normalised, bias-corrected ACF over the admissible lags.
-  std::vector<double> acf(lag_max + 1, 0.0);
+  // Normalised, bias-corrected ACF over the admissible lags (the rest of
+  // `acf` still holds |X|^2 and is never read).
   for (std::size_t lag = lag_min > 1 ? lag_min - 1 : 1; lag <= lag_max;
        ++lag) {
     const double unbias =
         static_cast<double>(nx) / static_cast<double>(nx - lag);
-    acf[lag] = padded[lag].real() / r0 * unbias;
+    acf[lag] = bins[lag].real() / r0 * unbias;
   }
 
   // Collect local maxima in [lag_min, lag_max].
@@ -329,24 +349,23 @@ double peak_search(const std::vector<SpectrumBin>& bins, double f_lo,
   return bins[best].frequency_hz + delta * bin_width;
 }
 
-}  // namespace
-
-void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws) {
-  const std::size_t count = jobs.size();
-  if (count == 0) return;
+void check_rates(std::span<const BandLimitJob> jobs) {
   for (const BandLimitJob& job : jobs) {
     if (job.sample_rate_hz <= 0.0)
       throw std::invalid_argument("fft filter: sample rate must be positive");
   }
+}
 
+}  // namespace
+
+void fft_bandlimit_forward_many(std::span<const BandLimitJob> jobs,
+                                FftWorkspace& ws) {
+  check_rates(jobs);
   // High-water staging: nothing here ever shrinks, so a warm workspace
   // runs any previously-seen batch shape without allocating.
-  if (ws.spectra.size() < count) ws.spectra.resize(count);
+  if (ws.spectra.size() < jobs.size()) ws.spectra.resize(jobs.size());
   ws.fwd_jobs.clear();
-  ws.inv_jobs.clear();
-
-  // Forward sweep: all transforms of the batch through one cached plan.
-  for (std::size_t j = 0; j < count; ++j) {
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (jobs[j].x.empty()) {
       jobs[j].out->clear();
       continue;
@@ -354,20 +373,35 @@ void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws) {
     ws.fwd_jobs.push_back(RealFftJob{jobs[j].x, &ws.spectra[j]});
   }
   fft_real_many(ws.fwd_jobs, ws.scratch);
+}
 
-  // Per-job bin zeroing, then the inverse sweep.
-  for (std::size_t j = 0; j < count; ++j) {
+void fft_bandlimit_inverse_many(std::span<const BandLimitJob> jobs,
+                                FftWorkspace& ws) {
+  check_rates(jobs);
+  if (ws.spectra.size() < jobs.size())
+    throw std::invalid_argument("fft filter: inverse sweep without forward");
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     const BandLimitJob& job = jobs[j];
     if (job.x.empty()) continue;
-    std::vector<cdouble>& spectrum = ws.spectra[j];
+    const std::vector<cdouble>& spectrum = ws.spectra[j];
     const std::size_t n = spectrum.size();
+    if (n != job.x.size())
+      throw std::invalid_argument("fft filter: inverse sweep without forward");
+    // The masked copy is staged in ws.time and inverted in place.
+    std::vector<cdouble>& masked = ws.time;
+    masked.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
       const double f = std::abs(bin_frequency(k, n, job.sample_rate_hz));
-      if (f < job.f_lo || f > job.f_hi) spectrum[k] = cdouble(0.0, 0.0);
+      masked[k] =
+          f < job.f_lo || f > job.f_hi ? cdouble(0.0, 0.0) : spectrum[k];
     }
-    ws.inv_jobs.push_back(RealIfftJob{spectrum, &ws.time, job.out});
+    ifft_real_into(masked, masked, *job.out, ws.scratch);
   }
-  ifft_real_many(ws.inv_jobs, ws.scratch);
+}
+
+void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws) {
+  fft_bandlimit_forward_many(jobs, ws);
+  fft_bandlimit_inverse_many(jobs, ws);
 }
 
 namespace {

@@ -18,15 +18,16 @@ namespace tagbreathe::signal {
 /// sizing), so a steady-state batch of any previously seen shape stays
 /// allocation-free.
 struct FftWorkspace {
+  /// The band search also stages its power-of-two bins in scratch.a.
   FftScratch scratch;
-  std::vector<cdouble> spectrum;  // forward-transform bins (single calls)
-  std::vector<cdouble> time;      // inverse-transform staging
-  /// Per-job bins for batched filters (fft_bandlimit_many): the whole
-  /// batch's forward transforms must be live at once between the
-  /// forward and inverse sweeps.
+  /// Inverse staging: the masked copy an inverse sweep transforms back
+  /// in place. The band search stages its real sequences here too.
+  std::vector<cdouble> time;
+  /// Per-job bins of the last forward sweep (fft_bandlimit_forward_many):
+  /// the whole batch's transforms stay live so any number of inverse
+  /// sweeps can cut pass bands from them.
   std::vector<std::vector<cdouble>> spectra;
-  std::vector<RealFftJob> fwd_jobs;   // batched-sweep staging
-  std::vector<RealIfftJob> inv_jobs;  // batched-sweep staging
+  std::vector<RealFftJob> fwd_jobs;  // batched-sweep staging
 };
 
 /// The f_lo used to knock out the DC bin when a low-pass asks for
@@ -102,9 +103,20 @@ std::vector<SpectrumBin> welch_psd(std::span<const double> x,
 /// ambiguity by taking the smallest peak lag within 90% of the best.
 /// Searches periods in [1/f_hi, 1/f_lo]; returns 0 when no peak exists.
 /// `x` should be detrended / low-passed to f_hi by the caller.
+/// Convenience overload over a throwaway workspace.
 double autocorrelation_fundamental(std::span<const double> x,
                                    double sample_rate_hz, double f_lo,
                                    double f_hi);
+
+/// The same search with every buffer in `ws`. The ACF comes from the
+/// Wiener-Khinchin relation: the track is zero-padded only to
+/// M = next_pow2(n + lag_max + 1), so no admissible lag wraps, and two
+/// cached RealFftPlan(M) passes (track -> |X|^2 -> ACF, since |X|^2 is
+/// real and even) replace a 2n-point complex transform pair. Allocation-
+/// free once `ws` has seen the size.
+double autocorrelation_fundamental(std::span<const double> x,
+                                   double sample_rate_hz, double f_lo,
+                                   double f_hi, FftWorkspace& ws);
 
 /// Noise-colour-agnostic peak search: ranks bins by their power relative
 /// to a local median background (the smoothed spectrum with the bin's own
@@ -155,12 +167,25 @@ struct BandLimitJob {
   std::vector<double>* out = nullptr;
 };
 
-/// Batched band-limit filter: one forward sweep over every job (shared
-/// plan, fetched once per size change), per-job bin zeroing, one inverse
-/// sweep. Bit-identical to running fft_lowpass_into / fft_bandpass_into
-/// per job — the single-job helpers delegate here — and allocation-free
-/// once `ws` has seen the batch shape.
+/// Batched band-limit filter: fft_bandlimit_forward_many followed by
+/// fft_bandlimit_inverse_many. Bit-identical to running fft_lowpass_into /
+/// fft_bandpass_into per job — the single-job helpers delegate here — and
+/// allocation-free once `ws` has seen the batch shape.
 void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws);
+
+/// Forward half: transforms every job's `x` into ws.spectra[j] (j is the
+/// job's index in `jobs`) in one sweep through the shared plan. Jobs with
+/// an empty `x` clear their `out`. Only `x` and `sample_rate_hz` are read.
+void fft_bandlimit_forward_many(std::span<const BandLimitJob> jobs,
+                                FftWorkspace& ws);
+
+/// Inverse half: for each job with a non-empty `x`, copies ws.spectra[j]
+/// into ws.time with the bins outside [f_lo, f_hi] zeroed and inverse-
+/// transforms that copy into `out`. ws.spectra is left intact, so several
+/// pass bands can be cut from one forward sweep; `jobs` must line up with
+/// the forward sweep's jobs (same `x` per index).
+void fft_bandlimit_inverse_many(std::span<const BandLimitJob> jobs,
+                                FftWorkspace& ws);
 
 /// Goertzel algorithm: power of the single DFT bin nearest `freq_hz`.
 /// O(N) per frequency — cheaper than a full FFT when the pipeline only

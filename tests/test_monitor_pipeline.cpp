@@ -121,6 +121,85 @@ TEST(Monitor, SingleTagModeUsesBusiestStream) {
   EXPECT_NEAR(analyses[0].rate.rate_bpm, 10.0, 1.5);
 }
 
+// Health scan: the per-user read-time scan merges the time-ordered
+// per-tag streams and falls back to a sort when a stream is out of order.
+// Both branches must reproduce a plain gather-and-sort reference exactly.
+struct HealthRef {
+  double last_read_s = -1.0;
+  double tail_gap_s = 0.0;
+  double max_gap_s = 0.0;
+  double coverage = 0.0;
+};
+
+HealthRef reference_health(std::span<const TagRead> reads, double t0,
+                           double t1, const MonitorConfig& mc) {
+  std::vector<double> times;
+  for (const TagRead& r : reads)
+    if (r.time_s >= t0 && r.time_s <= t1) times.push_back(r.time_s);
+  std::sort(times.begin(), times.end());
+  HealthRef ref;
+  ref.last_read_s = times.back();
+  ref.tail_gap_s = t1 - times.back();
+  const double lead_gap = times.front() - t0;
+  ref.max_gap_s = std::max(lead_gap, ref.tail_gap_s);
+  double gap_time = lead_gap > mc.stale_after_s ? lead_gap : 0.0;
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    const double gap = times[i] - times[i - 1];
+    ref.max_gap_s = std::max(ref.max_gap_s, gap);
+    if (gap > mc.stale_after_s) gap_time += gap;
+  }
+  if (ref.tail_gap_s > mc.stale_after_s) gap_time += ref.tail_gap_s;
+  ref.coverage = std::clamp(1.0 - gap_time / (t1 - t0), 0.0, 1.0);
+  return ref;
+}
+
+TEST(Monitor, HealthScanMatchesSortedReferenceInAndOutOfOrder) {
+  experiments::Scenario scenario(default_scenario(31));
+  std::vector<TagRead> reads;
+  // Cut a 4.5 s hole so the scan has a dominant interior gap to find.
+  for (const TagRead& r : scenario.run())
+    if (r.time_s < 12.0 || r.time_s > 16.5) reads.push_back(r);
+  const double t0 = 5.0;  // trims reads on both sides of the window
+  const double t1 = 24.0;
+  BreathMonitor monitor;
+  const HealthRef ref = reference_health(reads, t0, t1, monitor.config());
+  EXPECT_GT(ref.max_gap_s, 4.0);
+
+  // In order: the three tags' streams interleave in time.
+  StreamDemux ordered;
+  ordered.add(reads);
+  ASSERT_EQ(ordered.streams_for_user(1).size(), 3u);
+  const UserAnalysis a = monitor.analyze_user(ordered, 1, t0, t1);
+
+  // Out of order: swap two in-window reads of one tag.
+  std::vector<TagRead> shuffled = reads;
+  const auto tag = shuffled[100].epc;
+  std::size_t first = 0;
+  std::size_t second = 0;
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    if (shuffled[i].epc != tag || shuffled[i].time_s < 18.0) continue;
+    if (first == 0) {
+      first = i;
+    } else {
+      second = i;
+      break;
+    }
+  }
+  ASSERT_GT(second, first);
+  std::swap(shuffled[first], shuffled[second]);
+  StreamDemux reordered;
+  reordered.add(shuffled);
+  const UserAnalysis b = monitor.analyze_user(reordered, 1, t0, t1);
+
+  for (const UserAnalysis* x : {&a, &b}) {
+    EXPECT_EQ(x->last_read_s, ref.last_read_s);
+    EXPECT_EQ(x->tail_gap_s, ref.tail_gap_s);
+    EXPECT_EQ(x->max_gap_s, ref.max_gap_s);
+    EXPECT_EQ(x->coverage, ref.coverage);
+    EXPECT_EQ(x->health, SignalHealth::Stale);  // the 4.5 s hole
+  }
+}
+
 // --- baselines -----------------------------------------------------------------
 
 TEST(Baselines, RunAndAreWorseThanPhase) {

@@ -514,12 +514,9 @@ TEST(BatchedZeroAlloc, WarmBandlimitSweepAllocatesNothing) {
 }
 
 TEST(BatchedZeroAlloc, WarmExtractManySweepAllocatesNothing) {
-  // adaptive_band off: the ACF peak search allocates by design (it is
-  // not on the batched-transform contract); the filter sweep itself must
-  // run clean.
-  core::ExtractorConfig config;
-  config.adaptive_band = false;
-  const core::BreathExtractor extractor(config);
+  // Default config: the adaptive band search runs through the workspace
+  // too, so the whole extraction must run clean.
+  const core::BreathExtractor extractor;
   constexpr double kRate = 20.0;
   constexpr std::size_t kJobs = 12;
   std::vector<std::vector<signal::TimedSample>> tracks;

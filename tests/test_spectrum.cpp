@@ -2,6 +2,9 @@
 // ACF fundamental, FFT band filters, Goertzel).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "signal/filters.hpp"
@@ -175,6 +178,90 @@ TEST(AcfFundamental, ErrorsAndEdgeCases) {
   EXPECT_EQ(autocorrelation_fundamental(std::vector<double>(256, 0.0), 20.0,
                                         0.1, 0.5),
             0.0);
+}
+
+// Direct O(n * lags) reference for the planned Wiener-Khinchin search:
+// the same normalised, bias-corrected ACF and peak rules, with every lag
+// summed explicitly.
+struct AcfReference {
+  std::size_t lag = 0;
+  double f0 = 0.0;
+};
+
+AcfReference direct_acf_fundamental(const std::vector<double>& x, double fs,
+                                    double f_lo, double f_hi) {
+  const std::size_t n = x.size();
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= static_cast<double>(n);
+  const auto lag_min = static_cast<std::size_t>(std::ceil(fs / f_hi));
+  const std::size_t lag_max =
+      std::min(static_cast<std::size_t>(std::floor(fs / f_lo)), n - 1);
+  const auto lag_sum = [&](std::size_t lag) {
+    double r = 0.0;
+    for (std::size_t i = 0; i + lag < n; ++i)
+      r += (x[i] - mean) * (x[i + lag] - mean);
+    return r;
+  };
+  const double r0 = lag_sum(0);
+  std::vector<double> acf(lag_max + 1, 0.0);
+  for (std::size_t lag = lag_min - 1; lag <= lag_max; ++lag)
+    acf[lag] = lag_sum(lag) / r0 * static_cast<double>(n) /
+               static_cast<double>(n - lag);
+  const auto is_peak = [&](std::size_t lag) {
+    return acf[lag] >= acf[lag - 1] && acf[lag] >= acf[lag + 1];
+  };
+  double best = -2.0;
+  for (std::size_t lag = lag_min + 1; lag + 1 <= lag_max; ++lag)
+    if (is_peak(lag)) best = std::max(best, acf[lag]);
+  for (std::size_t lag = lag_min + 1; lag + 1 <= lag_max; ++lag) {
+    if (!is_peak(lag) || acf[lag] < 0.9 * best) continue;
+    const double denom = acf[lag - 1] - 2.0 * acf[lag] + acf[lag + 1];
+    const double delta =
+        std::clamp(0.5 * (acf[lag - 1] - acf[lag + 1]) / denom, -0.5, 0.5);
+    return {lag, fs / (static_cast<double>(lag) + delta)};
+  }
+  return {};
+}
+
+class AcfReferenceSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(AcfReferenceSizes, PlannedSearchMatchesDirectLagSum) {
+  // 601: the Table-I track (M = 1024). 2400: a long window. 757 and 758:
+  // n + lag_max + 1 = 1024 and n + lag_max = 1024 (the tightest padding
+  // and one sample past it). 200: shorter than fs / f_lo, so lag_max is
+  // clamped to n - 1.
+  const std::size_t n = GetParam();
+  constexpr double kFs = 20.0;
+  auto x = sine(0.23, kFs, n);
+  const auto h = sine(0.46, kFs, n, 0.4, 0.7);
+  for (std::size_t i = 0; i < n; ++i) x[i] += h[i] + 3.0;  // DC offset too
+  add_noise(x, 0.2, 41 + n);
+
+  const AcfReference ref = direct_acf_fundamental(x, kFs, 0.075, 0.67);
+  ASSERT_GT(ref.lag, 0u);
+  FftWorkspace ws;
+  const double f0 = autocorrelation_fundamental(x, kFs, 0.075, 0.67, ws);
+  EXPECT_EQ(static_cast<std::size_t>(std::lround(kFs / f0)), ref.lag);
+  EXPECT_NEAR(f0, ref.f0, 1e-9 * ref.f0);
+  // The throwaway-workspace wrapper runs the same arithmetic.
+  EXPECT_EQ(autocorrelation_fundamental(x, kFs, 0.075, 0.67), f0);
+}
+
+INSTANTIATE_TEST_SUITE_P(TrackLengths, AcfReferenceSizes,
+                         ::testing::Values(601, 2400, 757, 758, 200));
+
+TEST(AcfFundamental, WarmWorkspaceIsReusableAcrossSizes) {
+  // A workspace that has seen a longer track keeps its high-water
+  // buffers; stale contents must not leak into a shorter search.
+  FftWorkspace ws;
+  for (const std::size_t n : {2400u, 601u, 200u, 601u}) {
+    auto x = sine(0.3, 20.0, n);
+    add_noise(x, 0.1, n);
+    EXPECT_EQ(autocorrelation_fundamental(x, 20.0, 0.075, 0.67, ws),
+              autocorrelation_fundamental(x, 20.0, 0.075, 0.67))
+        << "n=" << n;
+  }
 }
 
 // --- FFT band filters -----------------------------------------------------------
